@@ -4,8 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Benchmark suites, one per paper table (run via `sbt "bench/test"`).
   *
-  * Each suite regenerates its table (printed to stdout, captured in
-  * bench_output.txt) and asserts the paper's qualitative *shape* — which
+  * Each suite regenerates its table (printed to stdout; EXPERIMENTS.md
+  * records a run) and asserts the paper's qualitative *shape* — which
   * configuration wins, how metrics move with precision/training — without
   * pinning absolute numbers (our substrate is a JVM, not the authors' C++
   * testbed; see EXPERIMENTS.md for the paper-vs-measured diff).

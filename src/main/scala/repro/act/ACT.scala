@@ -38,12 +38,6 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   private[act] var prefixLen: Int = 0
   private[act] var prefixBits: Long = 0L
 
-  // --- probe-side metrics (single-threaded benches read & reset these) ----
-  var nodeAccesses: Long = 0L
-  var lastDepth: Int = 0
-  def accessCount: Long = nodeAccesses
-  def resetMetrics(): Unit = { nodeAccesses = 0L; lastDepth = 0 }
-
   def nodeCount: Int = nodes.length
   /** Size in bytes: slot arrays (the paper's 8-byte-pointer arrays). */
   def sizeBytes: Long = nodes.length.toLong * fanout * 8
@@ -65,31 +59,44 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
     if (cnt == 0) 0.0 else sum.toDouble / cnt
   }
 
+  /** True iff `path` lies outside the root common prefix. */
+  @inline private def prefixMiss(path: Long): Boolean =
+    prefixLen > 0 && (path >>> (60 - prefixLen)) != (prefixBits >>> (60 - prefixLen))
+
   /** Probe with a leaf (level-30) cell id; returns a value entry or NoHit.
     * Straight transcription of Listing 2 plus the root prefix check.
     */
   def probe(leafId: Long): Long = {
     val path = CellId.path60(leafId)
-    if (prefixLen > 0 && (path >>> (60 - prefixLen)) != (prefixBits >>> (60 - prefixLen)))
-      return TaggedEntry.NoHit
-    var nodeIdx = 0
+    if (prefixMiss(path)) return TaggedEntry.NoHit
+    var e = TaggedEntry.pointer(0)
     var consumed = prefixLen
-    var depth = 0
-    while (true) {
-      nodeAccesses += 1
-      depth += 1
+    while (TaggedEntry.tag(e) == TaggedEntry.TagPointer) {
       val avail = math.min(bitsPerLevel, 60 - consumed)
       val c = ((path >>> (60 - consumed - avail)) & ((1L << avail) - 1)).toInt
-      val e = nodes(nodeIdx)(c)
-      if (TaggedEntry.tag(e) == TaggedEntry.TagPointer) {
-        nodeIdx = TaggedEntry.pointerTarget(e)
-        consumed += avail
-      } else {
-        lastDepth = depth
-        return e
-      }
+      e = nodes(TaggedEntry.pointerTarget(e))(c)
+      consumed += avail
     }
-    TaggedEntry.NoHit // unreachable
+    e
+  }
+
+  /** Nodes [[probe]] visits for `leafId`: its traversal depth (Table 4),
+    * 0 when the root prefix check rejects the leaf.
+    */
+  def accesses(leafId: Long): Int = {
+    val path = CellId.path60(leafId)
+    if (prefixMiss(path)) return 0
+    var e = TaggedEntry.pointer(0)
+    var consumed = prefixLen
+    var depth = 0
+    while (TaggedEntry.tag(e) == TaggedEntry.TagPointer) {
+      val avail = math.min(bitsPerLevel, 60 - consumed)
+      val c = ((path >>> (60 - consumed - avail)) & ((1L << avail) - 1)).toInt
+      e = nodes(TaggedEntry.pointerTarget(e))(c)
+      consumed += avail
+      depth += 1
+    }
+    depth
   }
 
   /** Write value `entry` over the whole area of `cell` (key extension:

@@ -16,6 +16,12 @@ final class LookupTable extends Serializable {
   private val data = mutable.ArrayBuffer.empty[Int]
   private val dedup = mutable.HashMap.empty[RefList, Int]
 
+  /** Length of the longest reference list interned so far — the buffer size
+    * [[TaggedEntry.decodeInto]] needs for an offset entry.
+    */
+  private var longest = 0
+  def maxRefs: Int = longest
+
   /** Append (or reuse) the encoding of `refs`; returns its offset. */
   def internAll(refs: RefList): Int = dedup.getOrElseUpdate(refs, {
     val off = data.length
@@ -25,23 +31,11 @@ final class LookupTable extends Serializable {
     t.foreach(r => data += PolygonRef.polygonId(r))
     data += c.length
     c.foreach(r => data += PolygonRef.polygonId(r))
+    longest = math.max(longest, refs.size)
     off
   })
 
   @inline def apply(i: Int): Int = data(i)
-
-  /** Decode the entry at `off` back into a [[RefList]] (tests/training). */
-  def decode(off: Int): RefList = {
-    val out = mutable.ArrayBuffer.empty[Int]
-    var i = off
-    val nT = data(i); i += 1
-    var k = 0
-    while (k < nT) { out += PolygonRef(data(i), interior = true); i += 1; k += 1 }
-    val nC = data(i); i += 1
-    k = 0
-    while (k < nC) { out += PolygonRef(data(i), interior = false); i += 1; k += 1 }
-    RefList.of(out.toArray)
-  }
 
   def sizeInts: Int = data.length
   def sizeBytes: Long = data.length.toLong * 4

@@ -1,6 +1,6 @@
 package repro.act
 
-import repro.core.RefList
+import repro.core.{PolygonRef, RefList}
 
 /** Tagged 64-bit slot entries (§3.1.2): a slot in an ACT node — and a
   * lookup result in every baseline structure, so all indexes are probed and
@@ -45,15 +45,33 @@ object TaggedEntry {
     case _ => offset(lut.internAll(refs))
   }
 
-  /** Decode a value entry back to a [[RefList]] (tests / training; the join
-    * kernels decode inline without allocating — see [[repro.core.Join]]).
+  /** Decode value entry `e` into `out` — the single decoder every join
+    * path uses. Writes the entry's polygon references ([[PolygonRef]]
+    * encoding: interior flag in bit 0) and returns their count; a NoHit
+    * entry yields 0. `out` needs `max(2, lut.maxRefs)` slots. Allocates
+    * nothing.
     */
-  def decode(e: Long, lut: LookupTable): RefList = tag(e) match {
+  def decodeInto(e: Long, lut: LookupTable, out: Array[Int]): Int = tag(e) match {
     case TagInline =>
+      out(0) = inlineRef1(e)
       val r2 = inlineRef2(e)
-      if (r2 < 0) RefList(Array(inlineRef1(e)))
-      else RefList.of(Array(inlineRef1(e), r2))
-    case TagOffset => lut.decode(offsetValue(e))
-    case _         => RefList.empty
+      if (r2 < 0) 1 else { out(1) = r2; 2 }
+    case TagOffset =>
+      var off = offsetValue(e)
+      var n = 0
+      val nT = lut(off); off += 1
+      var k = 0
+      while (k < nT) { out(n) = PolygonRef.asInterior(lut(off) << 1); n += 1; off += 1; k += 1 }
+      val nC = lut(off); off += 1
+      k = 0
+      while (k < nC) { out(n) = lut(off) << 1; n += 1; off += 1; k += 1 }
+      n
+    case _ => 0
+  }
+
+  /** Decode a value entry back to a [[RefList]] (tests / training). */
+  def decode(e: Long, lut: LookupTable): RefList = {
+    val out = new Array[Int](math.max(2, lut.maxRefs))
+    RefList.of(java.util.Arrays.copyOf(out, decodeInto(e, lut, out)))
   }
 }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.core.{ActIndex, Join}
+import repro.core.ActIndex
 import repro.spatial.SpatialData
 
 /** One runner per paper table. Each returns the printed rows so the bench
@@ -81,12 +81,7 @@ object TableRunners {
       val bi = indexes(name, Some(4.0))
       val (_, _, leafIds) = points(taxi)
       val hist = new Array[Long](8)
-      var i = 0
-      while (i < leafIds.length) {
-        bi.act4.probe(leafIds(i))
-        hist(math.min(7, bi.act4.lastDepth)) += 1
-        i += 1
-      }
+      leafIds.foreach(leaf => hist(math.min(7, bi.act4.accesses(leaf))) += 1)
       val total = leafIds.length.toDouble
       Seq(if (taxi) "taxi" else "uniform", name) ++
         (1 to 5).map(d => fmt(100.0 * hist(d) / total, 1) + "%")
@@ -107,10 +102,7 @@ object TableRunners {
     val rows = for (taxi <- Seq(false, true); (sname, s) <- structures(bi)) yield {
       val (_, _, leafIds) = points(taxi)
       val thr = approxThroughput(s, bi.lut, leafIds, polys.length)
-      s.resetMetrics()
-      val counts = new Array[Long](polys.length)
-      Join.approximateCounts(s, bi.lut, leafIds, counts)
-      val acc = s.accessCount.toDouble / leafIds.length
+      val acc = leafIds.iterator.map(s.accesses(_).toLong).sum.toDouble / leafIds.length
       Seq(if (taxi) "taxi" else "uniform", sname, fmt(1000.0 / thr, 1), fmt(acc, 2))
     }
     val all = header +: rows
@@ -133,33 +125,19 @@ object TableRunners {
         val idx = ActIndex.build(polys, bits, None)
         exactThroughput(idx.act, idx.lut, xs, ys, leafIds, polys)._1
       }
-      def siThr(maxEdges: Int): Double = {
-        val si = ShapeEdgeIndex(polys, maxEdges)
+      // SI answers exactly; RT returns MBR candidates that still need a PIP.
+      def baselineThr(query: (Double, Double, java.util.ArrayList[Integer]) => Unit,
+                      refine: Boolean): Double = {
         val out = new java.util.ArrayList[Integer]()
         val counts = new Array[Long](polys.length)
         val sec = bestTime(2) {
           var i = 0
           while (i < xs.length) {
-            si.query(xs(i), ys(i), out)
-            var k = 0
-            while (k < out.size) { counts(out.get(k).intValue) += 1; k += 1 }
-            i += 1
-          }
-        }
-        xs.length / sec / 1e6
-      }
-      def rtThr(): Double = {
-        val rt = RTree(polys)
-        val out = new java.util.ArrayList[Integer]()
-        val counts = new Array[Long](polys.length)
-        val sec = bestTime(2) {
-          var i = 0
-          while (i < xs.length) {
-            rt.query(xs(i), ys(i), out)
+            query(xs(i), ys(i), out)
             var k = 0
             while (k < out.size) {
               val pid = out.get(k).intValue
-              if (polys(pid).contains(xs(i), ys(i))) counts(pid) += 1
+              if (!refine || polys(pid).contains(xs(i), ys(i))) counts(pid) += 1
               k += 1
             }
             i += 1
@@ -167,6 +145,8 @@ object TableRunners {
         }
         xs.length / sec / 1e6
       }
+      def siThr(maxEdges: Int): Double = baselineThr(ShapeEdgeIndex(polys, maxEdges).query, refine = false)
+      def rtThr(): Double = baselineThr(RTree(polys).query, refine = true)
       Seq(name, fmt(actThr(2), 1), fmt(actThr(4), 1), fmt(actThr(8), 1),
           fmt(siThr(1), 1), fmt(siThr(10), 1), fmt(rtThr(), 1))
     }

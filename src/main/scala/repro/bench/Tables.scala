@@ -3,11 +3,10 @@ package repro.bench
 import repro.act.{ACT, LookupTable}
 import repro.core._
 import repro.geo.Polygon
-import repro.grid.{CellId, Covering}
+import repro.grid.CellId
 import repro.index._
 import repro.spatial.SpatialData
 import scala.collection.mutable
-import scala.collection.parallel.CollectionConverters._
 
 /** Shared harness behind the per-table benchmarks (bench/) and the
   * spark-submit jobs (jobs/): dataset registry, timed builds (memoized per
@@ -58,13 +57,9 @@ object Tables {
   def covering(name: String, precision: Option[Double]): BuiltCovering =
     coveringCache.getOrElseUpdate((name, precision), {
       val polys = SpatialData.dataset(name)
-      val (cov, tInd) = time {
-        val covs = polys.par.map(p => p.id -> Covering.covering(p)).seq.toSeq
-        val ints = polys.par.map(p => p.id -> Covering.interiorCovering(p)).seq.toSeq
-        (covs, ints)
-      }
+      val ((covs, ints), tInd) = time(SuperCovering.coverings(polys))
       val (sc, tSuper) = time {
-        val s = SuperCovering.build(cov._1, cov._2)
+        val s = SuperCovering.build(covs, ints)
         precision.foreach(p => SuperCovering.refineToPrecision(s, CellId.levelForPrecision(p), polys))
         s
       }

@@ -21,6 +21,57 @@ final class JoinStats {
     f"points=$points matched=$matchedPoints true=$trueHitPairs cand=$candidatePairs pip=$pipTests sth=$sthPercent%.1f%%"
 }
 
+/** One point of Listing 3: decode the probed entry, emit its true hits, and
+  * emit (approximate join) or PIP-test (exact join) its candidates. The
+  * kernels in [[Join]] and the Spark operator ([[repro.spark.SpatialJoin]])
+  * all run this step.
+  *
+  * A step owns a scratch buffer and its `stats`, so each thread needs its
+  * own; the index it reads is shared.
+  *
+  * @param polys polygons indexed by id; read only by exact steps
+  */
+final class JoinStep(lut: LookupTable, polys: Array[Polygon]) {
+  val stats = new JoinStats
+
+  /** After [[apply]] returns `n`: the matched polygon ids in slots `0 until n`. */
+  val hits = new Array[Int](math.max(2, lut.maxRefs))
+
+  /** Run one point (`x`, `y`) whose probe returned `entry`; returns the
+    * number of matched polygons written to [[hits]].
+    */
+  def apply(entry: Long, x: Double, y: Double, exact: Boolean): Int = {
+    val st = stats
+    // Decode into `hits` and compact the matches in place: slot `m` is
+    // written only after slot `k >= m` has been read.
+    val n = TaggedEntry.decodeInto(entry, lut, hits)
+    var m = 0
+    var hadCandidate = false
+    var k = 0
+    while (k < n) {
+      val r = hits(k)
+      val pid = PolygonRef.polygonId(r)
+      if (PolygonRef.isInterior(r)) {
+        st.trueHitPairs += 1
+        hits(m) = pid; m += 1
+      } else {
+        hadCandidate = true
+        if (exact) st.pipTests += 1
+        if (!exact || polys(pid).contains(x, y)) {
+          st.candidatePairs += 1
+          hits(m) = pid; m += 1
+        }
+      }
+      k += 1
+    }
+    st.points += 1
+    if (m > 0) st.matchedPoints += 1
+    // STH is an exact-join metric (§4.2): a point needing no PIP test.
+    if (exact && !hadCandidate) st.sthPoints += 1
+    m
+  }
+}
+
 /** The paper's join kernels (Listing 3) over any [[CellIndex]].
   *
   * Like the paper's evaluation (§4 "Datasets and Queries") the kernels
@@ -34,37 +85,13 @@ object Join {
     */
   def approximateCounts(index: CellIndex, lut: LookupTable,
                         leafIds: Array[Long], counts: Array[Long]): JoinStats = {
-    val st = new JoinStats
+    val step = new JoinStep(lut, Array.empty)
     var i = 0
     while (i < leafIds.length) {
-      val e = index.probe(leafIds(i))
-      st.points += 1
-      val tag = TaggedEntry.tag(e)
-      if (tag == TaggedEntry.TagInline) {
-        st.matchedPoints += 1
-        val r1 = TaggedEntry.inlineRef1(e)
-        counts(PolygonRef.polygonId(r1)) += 1
-        if (PolygonRef.isInterior(r1)) st.trueHitPairs += 1 else st.candidatePairs += 1
-        val r2 = TaggedEntry.inlineRef2(e)
-        if (r2 >= 0) {
-          counts(PolygonRef.polygonId(r2)) += 1
-          if (PolygonRef.isInterior(r2)) st.trueHitPairs += 1 else st.candidatePairs += 1
-        }
-      } else if (tag == TaggedEntry.TagOffset) {
-        st.matchedPoints += 1
-        var off = TaggedEntry.offsetValue(e)
-        val nT = lut(off); off += 1
-        var k = 0
-        while (k < nT) { counts(lut(off)) += 1; off += 1; k += 1 }
-        st.trueHitPairs += nT
-        val nC = lut(off); off += 1
-        k = 0
-        while (k < nC) { counts(lut(off)) += 1; off += 1; k += 1 }
-        st.candidatePairs += nC
-      }
+      count(step, step(index.probe(leafIds(i)), 0.0, 0.0, exact = false), counts)
       i += 1
     }
-    st
+    step.stats
   }
 
   /** Exact join: candidate hits are refined with a PIP test (Listing 3
@@ -73,62 +100,18 @@ object Join {
   def exactCounts(index: CellIndex, lut: LookupTable,
                   xs: Array[Double], ys: Array[Double], leafIds: Array[Long],
                   polys: Array[Polygon], counts: Array[Long]): JoinStats = {
-    val st = new JoinStats
+    val step = new JoinStep(lut, polys)
     var i = 0
     while (i < leafIds.length) {
-      val e = index.probe(leafIds(i))
-      st.points += 1
-      var matched = false
-      var hadCandidate = false
-      val tag = TaggedEntry.tag(e)
-      if (tag == TaggedEntry.TagInline) {
-        val r1 = TaggedEntry.inlineRef1(e)
-        val r2 = TaggedEntry.inlineRef2(e)
-        var r = r1
-        var twice = if (r2 >= 0) 2 else 1
-        while (twice > 0) {
-          if (PolygonRef.isInterior(r)) {
-            counts(PolygonRef.polygonId(r)) += 1
-            st.trueHitPairs += 1
-            matched = true
-          } else {
-            hadCandidate = true
-            st.pipTests += 1
-            val pid = PolygonRef.polygonId(r)
-            if (polys(pid).contains(xs(i), ys(i))) {
-              counts(pid) += 1
-              st.candidatePairs += 1
-              matched = true
-            }
-          }
-          twice -= 1
-          r = r2
-        }
-      } else if (tag == TaggedEntry.TagOffset) {
-        var off = TaggedEntry.offsetValue(e)
-        val nT = lut(off); off += 1
-        var k = 0
-        while (k < nT) { counts(lut(off)) += 1; off += 1; k += 1 }
-        if (nT > 0) { st.trueHitPairs += nT; matched = true }
-        val nC = lut(off); off += 1
-        k = 0
-        while (k < nC) {
-          hadCandidate = true
-          st.pipTests += 1
-          val pid = lut(off)
-          if (polys(pid).contains(xs(i), ys(i))) {
-            counts(pid) += 1
-            st.candidatePairs += 1
-            matched = true
-          }
-          off += 1; k += 1
-        }
-      }
-      if (matched) st.matchedPoints += 1
-      if (!hadCandidate) st.sthPoints += 1
+      count(step, step(index.probe(leafIds(i)), xs(i), ys(i), exact = true), counts)
       i += 1
     }
-    st
+    step.stats
+  }
+
+  private def count(step: JoinStep, n: Int, counts: Array[Long]): Unit = {
+    var k = 0
+    while (k < n) { counts(step.hits(k)) += 1; k += 1 }
   }
 
   /** Reference join: full PIP against every polygon whose MBR contains the
@@ -179,8 +162,6 @@ final class ActIndex(val polys: Array[Polygon],
                      val lut: LookupTable,
                      val act: ACT) extends Serializable {
 
-  private val byId: Map[Int, Polygon] = polys.map(p => p.id -> p).toMap
-
   /** Train with historical points (§3.3.1): a training point hitting an
     * expensive cell (>= 1 candidate ref) replaces that cell with its four
     * direct children, reclassified against the referenced polygons —
@@ -209,7 +190,7 @@ final class ActIndex(val polys: Array[Polygon],
           var k = 0
           while (k < 4) {
             val c = CellId.child(cell, k)
-            val childRefs = SuperCovering.reclassify(c, refs, byId)
+            val childRefs = SuperCovering.reclassify(c, refs, polys)
             if (childRefs.isEmpty) {
               act.writeCell(c, TaggedEntry.NoHit)
             } else {
@@ -243,8 +224,12 @@ object ActIndex {
     fromSuperCovering(polys, sc, bitsPerLevel)
   }
 
+  /** Index `sc`. `polys` must be indexed by id (`polys(i).id == i`);
+    * anything else is rejected here, before a probe could misread it.
+    */
   def fromSuperCovering(polys: Array[Polygon], sc: SuperCovering,
                         bitsPerLevel: Int): ActIndex = {
+    Polygon.requireDenseIds(polys)
     val (ids, refs) = sc.toSortedArrays
     val lut = new LookupTable
     val act = ACT.build(bitsPerLevel, ids, refs, lut)

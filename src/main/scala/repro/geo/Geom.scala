@@ -14,6 +14,12 @@ object Geom {
     * `World / 2^l`; see [[repro.grid.CellId]].
     */
   val World: Double = 8192.0
+
+  /** True iff (x, y) lies in the closed world square; false for NaN and
+    * infinite coordinates.
+    */
+  def inWorld(x: Double, y: Double): Boolean =
+    x >= 0 && x <= World && y >= 0 && y <= World
 }
 
 /** Axis-aligned rectangle `[xMin, xMax] x [yMin, yMax]` (closed). */
@@ -59,9 +65,6 @@ object CellRelation {
 /** A simple polygon (no holes) given by its vertex ring (implicitly closed).
   *
   * `id` is the polygon's 30-bit identifier used in ACT polygon references.
-  * The ray-crossing PIP test counts edge evaluations in [[Polygon.EdgeTests]]
-  * so benchmarks can report PIP work exactly like the paper reports PIP-test
-  * counts (§4.2).
   */
 final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
   require(xs.length == ys.length && xs.length >= 3, s"polygon $id needs >=3 vertices")
@@ -89,7 +92,6 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
     */
   def contains(px: Double, py: Double): Boolean = {
     if (!mbr.containsPoint(px, py)) return false
-    Polygon.edgeTests += n
     var inside = false
     var i = 0
     var j = n - 1
@@ -144,12 +146,18 @@ final case class Polygon(id: Int, xs: Array[Double], ys: Array[Double]) {
 }
 
 object Polygon {
-  /** Thread-unsafe-by-design PIP edge-test counter (benchmarks are
-    * single-threaded like the paper's single-core probe measurements; the
-    * Spark operator uses accumulators instead).
+  /** Reject a polygon set that is not indexed by id: the index stores
+    * polygon ids and looks polygons up as `polys(id)`.
     */
-  var edgeTests: Long = 0L
-  def resetEdgeTests(): Unit = edgeTests = 0L
+  def requireDenseIds(polys: Array[Polygon]): Unit = {
+    var i = 0
+    while (i < polys.length) {
+      require(polys(i).id == i,
+        s"polygon ids must be 0 until ${polys.length} in array order (polys(i).id == i); " +
+        s"found id ${polys(i).id} at position $i")
+      i += 1
+    }
+  }
 
   /** True iff segment p1-p2 intersects the (closed) rectangle `r`. */
   def segmentIntersectsRect(x1: Double, y1: Double, x2: Double, y2: Double, r: MBR): Boolean = {

@@ -23,19 +23,18 @@ final class BTreeCellIndex private (
 
   import BTreeCellIndex.Cap
 
-  var accessCount: Long = 0L
-  def resetMetrics(): Unit = accessCount = 0L
-
   /** 256 bytes per node (the paper's GBT node size). */
   def sizeBytes: Long =
     (nLeaves.toLong + levelFirst.map(_.length - 1).sum) * 256
+
+  /** Every probe visits one node per level: the tree's height. */
+  def accesses(leafId: Long): Int = levelFirst.length + 1
 
   def probe(leafId: Long): Long = {
     val n = leafIds.length
     var node = 0
     var lvl = levelFirst.length - 1
     while (lvl >= 0) { // descend inner levels, root first
-      accessCount += 1
       val first = levelFirst(lvl)
       val keys = levelKeys(lvl)
       var j = first(node)
@@ -45,7 +44,6 @@ final class BTreeCellIndex private (
       node = node * Cap + (j - first(node))
       lvl -= 1
     }
-    accessCount += 1
     val start = node * Cap
     val stop = math.min(n, start + Cap)
     var i = start

@@ -10,9 +10,10 @@ trait CellIndex extends Serializable {
   /** Probe with the query point's leaf cell id. */
   def probe(leafId: Long): Long
 
-  /** Cumulative node/step accesses — the paper's per-point access metric. */
-  def accessCount: Long
-  def resetMetrics(): Unit
+  /** Node/step accesses [[probe]] makes for `leafId` — the paper's
+    * per-point access metric (Table 5). Pure, like `probe`.
+    */
+  def accesses(leafId: Long): Int
 
   /** In-memory size estimate in bytes, matching how the paper sizes each
     * structure (arrays of 8-byte slots / 16-byte pairs / 256-byte nodes).

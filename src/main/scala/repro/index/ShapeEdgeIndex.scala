@@ -109,7 +109,6 @@ object ShapeEdgeIndex {
         Edge(p.id, p.xs(i), p.ys(i), p.xs(j), p.ys(j))
       }
     }
-    val byId: Map[Int, Polygon] = polys.map(p => p.id -> p).toMap
     val leaves = new java.util.TreeMap[Long, Leaf]()
 
     def edgeInCell(e: Edge, b: MBR): Boolean =
@@ -132,7 +131,7 @@ object ShapeEdgeIndex {
         val cy = b.centerY
         // Polygons whose interior contains the centre (full PIP at build
         // time only — queries never run a full PIP).
-        val centerIn = byId.valuesIterator
+        val centerIn = polys.iterator
           .filter(p => p.mbr.containsPoint(cx, cy) && p.contains(cx, cy))
           .map(_.id).toArray.sorted
         if (edges.nonEmpty || centerIn.nonEmpty) {

@@ -13,9 +13,6 @@ import repro.grid.CellId
 final class SortedCellVector(val ids: Array[Long], val entries: Array[Long]) extends CellIndex {
   require(ids.length == entries.length)
 
-  var accessCount: Long = 0L
-  def resetMetrics(): Unit = accessCount = 0L
-
   /** 16 bytes per (id, entry) pair — like the paper's pair vector. */
   def sizeBytes: Long = ids.length.toLong * 16
 
@@ -24,12 +21,24 @@ final class SortedCellVector(val ids: Array[Long], val entries: Array[Long]) ext
     var hi = ids.length
     while (lo < hi) { // first id >= leafId
       val mid = (lo + hi) >>> 1
-      accessCount += 1
       if (ids(mid) < leafId) lo = mid + 1 else hi = mid
     }
     if (lo < ids.length && CellId.rangeMin(ids(lo)) <= leafId) return entries(lo)
     if (lo > 0 && CellId.rangeMax(ids(lo - 1)) >= leafId) return entries(lo - 1)
     TaggedEntry.NoHit
+  }
+
+  /** Binary-search steps of [[probe]]: the same halving, counted. */
+  def accesses(leafId: Long): Int = {
+    var lo = 0
+    var hi = ids.length
+    var steps = 0
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      steps += 1
+      if (ids(mid) < leafId) lo = mid + 1 else hi = mid
+    }
+    steps
   }
 }
 

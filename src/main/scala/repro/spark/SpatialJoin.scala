@@ -2,11 +2,9 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.util.LongAccumulator
-import repro.act.TaggedEntry
-import repro.core.{ActIndex, PolygonRef}
-import repro.geo.Polygon
+import repro.core.{ActIndex, JoinStep}
+import repro.geo.{Geom, Polygon}
 import repro.grid.CellId
-import scala.collection.mutable
 
 /** DataFrame-level point-polygon join built on the ACT index
   * (the "per-partition UDF join operator" integration, DESIGN.md §3).
@@ -69,51 +67,42 @@ object SpatialJoin {
     points.select("id", "x", "y").as[(Long, Double, Double)].mapPartitions { it =>
       val idx = bc.value
       val act = idx.act
-      val lut = idx.lut
-      val polys = idx.polys
-      var probes = 0L; var trueHits = 0L; var cands = 0L; var pips = 0L
-      val out = it.flatMap { case (id, x, y) =>
-        probes += 1
-        val e = act.probe(CellId.fromPoint(x, y))
-        val res = mutable.ArrayBuffer.empty[(Long, Int)]
-        @inline def handle(ref: Int): Unit = {
-          val pid = PolygonRef.polygonId(ref)
-          if (PolygonRef.isInterior(ref)) { trueHits += 1; res += ((id, pid)) }
-          else if (!exact) { cands += 1; res += ((id, pid)) }
-          else {
-            pips += 1
-            if (polys(pid).contains(x, y)) { cands += 1; res += ((id, pid)) }
-          }
-        }
-        TaggedEntry.tag(e) match {
-          case TaggedEntry.TagInline =>
-            handle(TaggedEntry.inlineRef1(e))
-            val r2 = TaggedEntry.inlineRef2(e)
-            if (r2 >= 0) handle(r2)
-          case TaggedEntry.TagOffset =>
-            var off = TaggedEntry.offsetValue(e)
-            val nT = lut(off); off += 1
-            var k = 0
-            while (k < nT) { handle(PolygonRef(lut(off), interior = true)); off += 1; k += 1 }
-            val nC = lut(off); off += 1
-            k = 0
-            while (k < nC) { handle(PolygonRef(lut(off), interior = false)); off += 1; k += 1 }
-          case _ => ()
-        }
-        res
-      }
-      // Flush accumulators when the partition iterator is exhausted.
+      val step = new JoinStep(idx.lut, idx.polys)
       new Iterator[(Long, Int)] {
+        private var pointId = 0L
+        private var n = 0 // matches of the current point ...
+        private var k = 0 // ... of which `k` are emitted
+        private var flushed = false
+
         def hasNext: Boolean = {
-          val h = out.hasNext
-          if (!h) m.foreach { mm =>
-            mm.probes.add(probes); mm.trueHitPairs.add(trueHits)
-            mm.candidatePairs.add(cands); mm.pipTests.add(pips)
-            probes = 0; trueHits = 0; cands = 0; pips = 0
+          while (k == n && it.hasNext) {
+            val (id, x, y) = it.next()
+            // A point outside the world square would be clamped into a
+            // border cell by `fromPoint`; it matches nothing instead.
+            if (Geom.inWorld(x, y)) {
+              pointId = id
+              n = step(act.probe(CellId.fromPoint(x, y)), x, y, exact)
+              k = 0
+            }
           }
-          h
+          val more = k < n
+          // Add the partition's counts once, when it is exhausted.
+          if (!more && !flushed) {
+            flushed = true
+            m.foreach { mm =>
+              val st = step.stats
+              mm.probes.add(st.points); mm.trueHitPairs.add(st.trueHitPairs)
+              mm.candidatePairs.add(st.candidatePairs); mm.pipTests.add(st.pipTests)
+            }
+          }
+          more
         }
-        def next(): (Long, Int) = out.next()
+
+        def next(): (Long, Int) = {
+          if (!hasNext) throw new NoSuchElementException("end of partition")
+          k += 1
+          (pointId, step.hits(k - 1))
+        }
       }
     }.toDF("point_id", "polygon_id")
   }

@@ -91,11 +91,9 @@ class ACTSpec extends AnyFunSuite {
     val refs = RefList.single(PolygonRef(1, interior = true))
     val act = ACT.build(8, Array(bigCell, smallCell).sorted, Array(refs, refs), new LookupTable)
     val bBig = CellId.bounds(bigCell)
-    act.probe(CellId.fromPoint(bBig.centerX, bBig.centerY))
-    val dBig = act.lastDepth
+    val dBig = act.accesses(CellId.fromPoint(bBig.centerX, bBig.centerY))
     val bSmall = CellId.bounds(smallCell)
-    act.probe(CellId.fromPoint(bSmall.centerX, bSmall.centerY))
-    val dSmall = act.lastDepth
+    val dSmall = act.accesses(CellId.fromPoint(bSmall.centerX, bSmall.centerY))
     assert(dBig < dSmall, s"big depth $dBig should be < small depth $dSmall")
   }
 
@@ -107,15 +105,12 @@ class ACTSpec extends AnyFunSuite {
     assert(a4.avgValueDepth <= a1.avgValueDepth)
   }
 
-  test("nodeAccesses metric counts accesses per probe") {
-    val cell = CellId.fromIJ(0, 0, 4)
+  test("accesses counts the nodes a probe visits") {
+    val cell = CellId.fromIJ(0, 0, 4)     // 8 key bits: one node at fanout 256
     val act = ACT.build(8, Array(cell),
       Array(RefList.single(PolygonRef(1, interior = true))), new LookupTable)
-    act.resetMetrics()
     val b = CellId.bounds(cell)
-    act.probe(CellId.fromPoint(b.centerX, b.centerY))
-    assert(act.nodeAccesses >= 1)
-    assert(act.lastDepth.toLong == act.nodeAccesses)
+    assert(act.accesses(CellId.fromPoint(b.centerX, b.centerY)) == 1)
   }
 
   test("writeCell push-down preserves surrounding values") {
@@ -158,10 +153,9 @@ class ACTSpec extends AnyFunSuite {
     val refs = cells.map(_ => RefList.single(PolygonRef(1, interior = true)))
     val act = ACT.build(8, cells, refs, new LookupTable)
     // A probe far away must be rejected by the prefix check without node access.
-    act.resetMetrics()
     val far = CellId.fromPoint(10, 10)
     assert(act.probe(far) == TaggedEntry.NoHit)
-    assert(act.nodeAccesses == 0, "prefix check should shortcut the miss")
+    assert(act.accesses(far) == 0, "prefix check should shortcut the miss")
     // And probes inside still work.
     val b = CellId.bounds(cells(0))
     assert(act.probe(CellId.fromPoint(b.centerX, b.centerY)) != TaggedEntry.NoHit)

@@ -42,6 +42,22 @@ class JoinSpec extends AnyFunSuite {
     }
   }
 
+  test("concurrent exact joins on one shared index match the sequential one") {
+    val idx = ActIndex.build(polys, 8, None)
+    def run(): (Seq[Long], String) = {
+      val counts = new Array[Long](polys.length)
+      val st = Join.exactCounts(idx.act, idx.lut, xs, ys, leafIds, polys, counts)
+      (counts.toSeq, st.toString + s" sthPoints=${st.sthPoints}")
+    }
+    val sequential = run()
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val task = new java.util.concurrent.Callable[(Seq[Long], String)] { def call() = run() }
+      val futures = (1 to 4).map(_ => pool.submit(task))
+      futures.foreach(f => assert(f.get() == sequential))
+    } finally pool.shutdown()
+  }
+
   test("exact join does fewer PIP tests than the naive MBR-filter join") {
     val idx = ActIndex.build(polys, 8, None)
     val counts = new Array[Long](polys.length)

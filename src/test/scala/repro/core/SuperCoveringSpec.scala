@@ -168,6 +168,15 @@ class SuperCoveringSpec extends AnyFunSuite {
     before.clear()
   }
 
+  test("refineToPrecision rejects polygons that are not indexed by id") {
+    val polys = SpatialData.polygonGrid(2, 8, 0.2, 0.1, seed = 102L)
+    val shuffled = polys.reverse
+    val sc = SuperCovering.ofPolygons(shuffled)
+    intercept[IllegalArgumentException] {
+      SuperCovering.refineToPrecision(sc, CellId.levelForPrecision(15.0), shuffled)
+    }
+  }
+
   test("refineToPrecision increases cell count (finer boundary cells)") {
     val polys = SpatialData.polygonGrid(3, 14, 0.2, 0.1, seed = 101L)
     val sc1 = SuperCovering.ofPolygons(polys)

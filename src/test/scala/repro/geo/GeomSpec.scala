@@ -28,20 +28,6 @@ class GeomSpec extends AnyFunSuite {
     assert(cShape.contains(0.5, 2.0))
   }
 
-  test("PIP counts edge tests") {
-    Polygon.resetEdgeTests()
-    square.contains(2.0, 2.0)
-    assert(Polygon.edgeTests == 4)
-    triangle.contains(2.0, 1.0)
-    assert(Polygon.edgeTests == 7)
-  }
-
-  test("PIP with MBR miss does not count edge tests") {
-    Polygon.resetEdgeTests()
-    square.contains(10.0, 10.0)
-    assert(Polygon.edgeTests == 0)
-  }
-
   test("PIP agrees with java.awt reference on random polygons and points") {
     for (seed <- 1 to 20) {
       val r = new scala.util.Random(seed)

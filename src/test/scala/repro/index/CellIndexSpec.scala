@@ -79,16 +79,19 @@ class CellIndexSpec extends AnyFunSuite {
     assert(gbt.sizeBytes % 256 == 0)
   }
 
-  test("access counters increase with probes") {
+  test("accesses: LB takes about log2(n) search steps, GBT its height") {
     val (ids, entries, _) = randomCells(500)
     val lb = SortedCellVector(ids, entries)
-    lb.resetMetrics()
-    lb.probe(CellId.fromPoint(1, 1))
-    assert(lb.accessCount > 0)
     val gbt = BTreeCellIndex(ids, entries)
-    gbt.resetMetrics()
-    gbt.probe(CellId.fromPoint(1, 1))
-    assert(gbt.accessCount > 0)
+    var height = 1
+    var nodes = (ids.length + 15) / 16
+    while (nodes > 1) { nodes = (nodes + 15) / 16; height += 1 }
+    val bits = 32 - Integer.numberOfLeadingZeros(ids.length)
+    for (_ <- 1 to 200) {
+      val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)
+      assert(Set(bits - 1, bits).contains(lb.accesses(leaf)), s"LB over ${ids.length} cells")
+      assert(gbt.accesses(leaf) == height)
+    }
   }
 
   test("ACT agrees with LB/GBT on a shared large covering") {

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{ActIndex, Join}
+import repro.geo.Polygon
 import repro.spatial.SpatialData
 
 /** End-to-end DataFrame join checked against the DuckDB oracle: the naive
@@ -59,6 +60,46 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
     assert(m.pipTests.value > 0)
     // True hit filtering: far fewer PIP tests than points.
     assert(m.pipTests.value < nPts)
+  }
+
+  for (exact <- Seq(true, false)) {
+    test(s"operator metrics and per-polygon counts equal the kernel's (exact=$exact)") {
+      val idx = ActIndex.build(polys, 8, if (exact) None else Some(4.0))
+      val (xs, ys, leafIds) = SpatialData.pointArrays(nPts, taxi = true, seed = 1200L)
+      val counts = new Array[Long](polys.length)
+      val st =
+        if (exact) Join.exactCounts(idx.act, idx.lut, xs, ys, leafIds, polys, counts)
+        else Join.approximateCounts(idx.act, idx.lut, leafIds, counts)
+      val m = SpatialJoin.newMetrics(spark)
+      val got = new Array[Long](polys.length)
+      SpatialJoin.joinWithIndex(pointsDf, idx, exact, Some(m))
+        .groupBy("polygon_id").count().collect()
+        .foreach(r => got(r.getInt(0)) = r.getLong(1))
+      assert(got.toSeq == counts.toSeq)
+      assert((m.probes.value, m.trueHitPairs.value, m.candidatePairs.value, m.pipTests.value) ==
+        (st.points, st.trueHitPairs, st.candidatePairs, st.pipTests))
+    }
+  }
+
+  test("polygon ids that are not array positions are rejected on the driver") {
+    val sparse = Array(polys(0), polys(1).copy(id = 107))
+    val e = intercept[IllegalArgumentException] {
+      SpatialJoin.join(pointsDf, SpatialData.polygonsDf(spark, sparse), exact = true).count()
+    }
+    assert(e.getMessage.contains("polys(i).id == i"))
+  }
+
+  test("points outside the world or with non-finite coordinates match nothing") {
+    import spark.implicits._
+    val corner = SpatialData.polygonsDf(spark,
+      Array(Polygon(0, Array(0.0, 100.0, 100.0, 0.0), Array(0.0, 0.0, 100.0, 100.0))))
+    val pts = Seq((0L, 50.0, 50.0), (1L, -5000.0, -5000.0), (2L, Double.NaN, Double.NaN),
+      (3L, Double.NegativeInfinity, 0.0)).toDF("id", "x", "y")
+    for (exact <- Seq(true, false)) {
+      val got = SpatialJoin.join(pts, corner, exact, precision = Some(4.0))
+        .collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+      assert(got == Set((0L, 0)), s"exact=$exact")
+    }
   }
 
   test("training reduces Spark-side PIP tests, result unchanged") {
