@@ -20,9 +20,9 @@ import scala.collection.mutable
   * compression not worthwhile). The final tree level may consume fewer than
   * β bits when 60 is not a multiple of β (mirrors S2's 30-level ceiling).
   *
-  * The structure is immutable after build except for [[writeCell]], which
-  * training (§3.3.1) uses to overwrite a cell's slot range with refined
-  * descendants.
+  * The trie is static: [[ACT.build]] writes every slot and nothing changes
+  * it afterwards. Training (§3.3.1) refines the super covering and builds a
+  * new trie from it ([[repro.core.ActIndex.train]]).
   */
 final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   require(Set(2, 4, 8).contains(bitsPerLevel), "fanout must be 2, 4 or 8 bits")
@@ -30,34 +30,17 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
   val fanout: Int = 1 << bitsPerLevel
 
   /** Flat node store; node 0 is the root. A slot holds a tagged entry. */
-  private[act] val nodes = mutable.ArrayBuffer[Array[Long]](new Array[Long](fanout))
+  private val nodes = mutable.ArrayBuffer[Array[Long]](new Array[Long](fanout))
 
   /** Root common prefix: `prefixLen` bits (multiple of β), MSB-aligned in
     * the low-60-bit path space.
     */
   private[act] var prefixLen: Int = 0
-  private[act] var prefixBits: Long = 0L
+  private var prefixBits: Long = 0L
 
   def nodeCount: Int = nodes.length
   /** Size in bytes: slot arrays (the paper's 8-byte-pointer arrays). */
   def sizeBytes: Long = nodes.length.toLong * fanout * 8
-
-  /** Average node depth of all value slots (paper's tree-depth metric). */
-  def avgValueDepth: Double = {
-    var sum = 0L; var cnt = 0L
-    def rec(nodeIdx: Int, depth: Int): Unit = {
-      val n = nodes(nodeIdx)
-      var i = 0
-      while (i < n.length) {
-        val e = n(i)
-        if (TaggedEntry.tag(e) == TaggedEntry.TagPointer) rec(TaggedEntry.pointerTarget(e), depth + 1)
-        else if (e != TaggedEntry.NoHit) { sum += depth; cnt += 1 }
-        i += 1
-      }
-    }
-    rec(0, 0)
-    if (cnt == 0) 0.0 else sum.toDouble / cnt
-  }
 
   /** True iff `path` lies outside the root common prefix. */
   @inline private def prefixMiss(path: Long): Boolean =
@@ -99,49 +82,46 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
     depth
   }
 
-  /** Write value `entry` over the whole area of `cell` (key extension:
-    * possibly several slots, or a pushed-down subtree). Existing content in
-    * that area is overwritten — the build inserts disjoint cells so nothing
-    * is lost; training overwrites deliberately (remove-original semantics).
-    * `entry == NoHit` clears the area.
+  /** Bytes that splitting stored `cell` into its four children adds to the
+    * trie built from the split covering, while the root prefix stays the
+    * same: one node when `cell`'s key ends on a node boundary (the
+    * children's keys need a node of their own), none when the children fit
+    * in `cell`'s own slots (key extension). Training (§3.3.1) uses it to
+    * count its memory budget.
     */
-  def writeCell(cell: Long, entry: Long): Unit = {
+  def splitBytes(cell: Long): Long = {
+    val bits = 2 * CellId.level(cell)
+    if (bits > prefixLen && (bits - prefixLen) % bitsPerLevel == 0) fanout.toLong * 8 else 0L
+  }
+
+  /** Write value `entry` over the whole area of `cell` (key extension:
+    * possibly several slots). Only [[ACT.build]] calls this, in id order
+    * over disjoint cells, so no earlier cell's value lies on the descent.
+    */
+  private def writeCell(cell: Long, entry: Long): Unit = {
     val path = CellId.path60(cell)
     val bits = 2 * CellId.level(cell)
-    require(bits >= prefixLen, s"cell key shorter than root prefix ($bits < $prefixLen)")
-    var nodeIdx = 0
+    var node = nodes(0)
     var consumed = prefixLen
     var done = false
     while (!done) {
-      val node = nodes(nodeIdx)
       val avail = math.min(bitsPerLevel, 60 - consumed)
       val rem = bits - consumed
       if (rem > avail) {
-        // Descend (creating or pushing down as needed).
+        // Descend, adding the child node on the first cell below this slot.
         val c = ((path >>> (60 - consumed - avail)) & ((1L << avail) - 1)).toInt
-        val e = node(c)
-        if (TaggedEntry.tag(e) == TaggedEntry.TagPointer) {
-          nodeIdx = TaggedEntry.pointerTarget(e)
-        } else {
-          val fresh = new Array[Long](fanout)
-          if (e != TaggedEntry.NoHit) {
-            // Push-down: the old value covered this whole slot; replicate it
-            // so untouched descendants keep resolving to it.
-            java.util.Arrays.fill(fresh, e)
-          }
-          nodes += fresh
-          val idx = nodes.length - 1
-          node(c) = TaggedEntry.pointer(idx)
-          nodeIdx = idx
+        if (node(c) == TaggedEntry.NoHit) {
+          nodes += new Array[Long](fanout)
+          node(c) = TaggedEntry.pointer(nodes.length - 1)
         }
+        node = nodes(TaggedEntry.pointerTarget(node(c)))
         consumed += avail
       } else {
         // Terminal node: the cell occupies 2^(avail-rem) consecutive slots.
         val highBits = ((path >>> (60 - consumed - rem)) & ((1L << rem) - 1)).toInt
         val count = 1 << (avail - rem)
         val base = highBits << (avail - rem)
-        var i = 0
-        while (i < count) { node(base + i) = entry; i += 1 }
+        java.util.Arrays.fill(node, base, base + count, entry)
         done = true
       }
     }
@@ -150,9 +130,10 @@ final class ACT(val bitsPerLevel: Int) extends repro.index.CellIndex {
 
 object ACT {
 
-  /** Build an ACT over sorted super-covering arrays. The root common prefix
-    * is the longest β-aligned prefix shared by all cell paths (and no longer
-    * than the shortest key).
+  /** Build an ACT over super-covering arrays: `cellIds` sorted and pairwise
+    * disjoint (rejected otherwise), `refLists(i)` the references of
+    * `cellIds(i)`. The root common prefix is the longest β-aligned prefix
+    * shared by all cell paths (and no longer than the shortest key).
     */
   def build(bitsPerLevel: Int, cellIds: Array[Long], refLists: Array[RefList],
             lut: LookupTable): ACT = {
@@ -164,6 +145,9 @@ object ACT {
       val first = CellId.path60(cellIds(0))
       var i = 0
       while (i < cellIds.length) {
+        // Sorted disjoint cells have sorted disjoint leaf ranges.
+        require(i == 0 || CellId.rangeMax(cellIds(i - 1)) < CellId.rangeMin(cellIds(i)),
+          s"cell ids must be sorted and pairwise disjoint: ${cellIds(i - 1)} then ${cellIds(i)}")
         val bits = 2 * CellId.level(cellIds(i))
         if (bits < minBits) minBits = bits
         // Paths are MSB-aligned at bit 59, so the shared prefix length within

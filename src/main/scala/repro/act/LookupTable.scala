@@ -37,6 +37,5 @@ final class LookupTable extends Serializable {
 
   @inline def apply(i: Int): Int = data(i)
 
-  def sizeInts: Int = data.length
   def sizeBytes: Long = data.length.toLong * 4
 }

@@ -69,7 +69,7 @@ object TaggedEntry {
     case _ => 0
   }
 
-  /** Decode a value entry back to a [[RefList]] (tests / training). */
+  /** Decode a value entry back to a [[RefList]] (tests and benchmarks). */
   def decode(e: Long, lut: LookupTable): RefList = {
     val out = new Array[Int](math.max(2, lut.maxRefs))
     RefList.of(java.util.Arrays.copyOf(out, decodeInto(e, lut, out)))

@@ -155,55 +155,65 @@ object Join {
 
 /** A built polygon index: the super covering plus its ACT plus the shared
   * lookup table — the unit the Spark operator broadcasts, and the object
-  * the accurate algorithm trains (§3.3.1).
+  * the accurate algorithm trains (§3.3.1). `polys` must be indexed by id
+  * (`polys(i).id == i`); anything else is rejected here, before a probe
+  * could misread it.
   */
-final class ActIndex(val polys: Array[Polygon],
-                     val sc: SuperCovering,
-                     val lut: LookupTable,
-                     val act: ACT) extends Serializable {
+final class ActIndex(val polys: Array[Polygon], val sc: SuperCovering,
+                     bitsPerLevel: Int) extends Serializable {
+  Polygon.requireDenseIds(polys)
+
+  private var _lut: LookupTable = _
+  private var _act: ACT = _
+  index()
+
+  def lut: LookupTable = _lut
+  def act: ACT = _act
+
+  /** Build a new lookup table and trie from `sc`. */
+  private def index(): Unit = {
+    val (ids, refs) = sc.toSortedArrays
+    _lut = new LookupTable
+    _act = ACT.build(bitsPerLevel, ids, refs, _lut)
+  }
 
   /** Train with historical points (§3.3.1): a training point hitting an
-    * expensive cell (>= 1 candidate ref) replaces that cell with its four
-    * direct children, reclassified against the referenced polygons —
-    * popular areas end up finer-grained. One hit refines one level; points
-    * hitting an already-refined child refine it further, so the index
-    * adapts progressively to the point distribution.
+    * expensive cell (>= 1 candidate ref) replaces that cell in the super
+    * covering with its four direct children, reclassified against the
+    * referenced polygons — popular areas end up finer-grained. One hit
+    * refines one level; points hitting an already-refined child refine it
+    * further, so the index adapts progressively to the point distribution.
+    * Then [[lut]] and [[act]] are rebuilt from the trained super covering;
+    * the trie and lookup table read before training are left unchanged.
+    *
+    * Training is a driver-side phase: run it before the index is
+    * broadcast, since it changes `sc` and the trie this index returns.
     *
     * `maxBytes` is the paper's memory budget: "in practice, we would stop
     * refining the index once a user-defined memory budget is exhausted"
-    * (§3.3.1) — refinement stops once the ACT grows past it.
+    * (§3.3.1) — refinement stops once the ACT, grown by
+    * [[ACT.splitBytes]] per refinement, exceeds it.
     *
     * Returns the number of cell refinements performed.
     */
-  def train(leafIds: Array[Long], maxLevel: Int = CellId.MaxLevel,
-            maxBytes: Long = Long.MaxValue): Long = {
+  def train(leafIds: Array[Long], maxBytes: Long = Long.MaxValue): Long = {
+    var bytes = act.sizeBytes // grown by each split so far (see ACT.splitBytes)
     var refinements = 0L
     var i = 0
-    while (i < leafIds.length) {
-      if (act.sizeBytes > maxBytes) return refinements
-      val leaf = leafIds(i)
-      val cell = sc.cellContainingLeaf(leaf)
-      if (cell != 0L && CellId.level(cell) < maxLevel) {
+    while (i < leafIds.length && bytes <= maxBytes) {
+      val cell = sc.containing(leafIds(i))
+      if (cell != 0L && CellId.level(cell) < CellId.MaxLevel) {
         val refs = sc.cells.get(cell)
-        if (refs != null && refs.isExpensive) {
+        if (refs.isExpensive) {
           sc.cells.remove(cell)
-          var k = 0
-          while (k < 4) {
-            val c = CellId.child(cell, k)
-            val childRefs = SuperCovering.reclassify(c, refs, polys)
-            if (childRefs.isEmpty) {
-              act.writeCell(c, TaggedEntry.NoHit)
-            } else {
-              sc.cells.put(c, childRefs)
-              act.writeCell(c, TaggedEntry.encode(childRefs, lut))
-            }
-            k += 1
-          }
+          SuperCovering.refineCell(sc, cell, refs, CellId.level(cell) + 1, polys)
+          bytes += act.splitBytes(cell)
           refinements += 1
         }
       }
       i += 1
     }
+    if (refinements > 0) index()
     refinements
   }
 
@@ -224,17 +234,10 @@ object ActIndex {
     fromSuperCovering(polys, sc, bitsPerLevel)
   }
 
-  /** Index `sc`. `polys` must be indexed by id (`polys(i).id == i`);
-    * anything else is rejected here, before a probe could misread it.
-    */
+  /** Index `sc` (see [[ActIndex]] for the requirement on `polys`). */
   def fromSuperCovering(polys: Array[Polygon], sc: SuperCovering,
-                        bitsPerLevel: Int): ActIndex = {
-    Polygon.requireDenseIds(polys)
-    val (ids, refs) = sc.toSortedArrays
-    val lut = new LookupTable
-    val act = ACT.build(bitsPerLevel, ids, refs, lut)
-    new ActIndex(polys, sc, lut, act)
-  }
+                        bitsPerLevel: Int): ActIndex =
+    new ActIndex(polys, sc, bitsPerLevel)
 
   /** Materialize the (id, taggedEntry) pairs of a super covering — the
     * input every baseline structure (LB, GBT) indexes.

@@ -16,8 +16,6 @@ object PolygonRef {
   @inline def polygonId(ref: Int): Int = ref >>> 1
   @inline def isInterior(ref: Int): Boolean = (ref & 1) == 1
 
-  /** Boundary (candidate) twin of `ref`. */
-  @inline def asBoundary(ref: Int): Int = ref & ~1
   /** Interior (true-hit) twin of `ref`. */
   @inline def asInterior(ref: Int): Int = ref | 1
 }
@@ -37,7 +35,6 @@ final case class RefList(refs: Array[Int]) {
   def candidates: Array[Int] = refs.filterNot(PolygonRef.isInterior)
 
   def merge(other: RefList): RefList = RefList.of(refs ++ other.refs)
-  def add(ref: Int): RefList = RefList.of(refs :+ ref)
 
   override def equals(o: Any): Boolean = o match {
     case RefList(r) => java.util.Arrays.equals(refs, r)

@@ -21,39 +21,16 @@ final class SuperCovering extends Serializable {
 
   def cellCount: Int = cells.size
 
-  /** The (unique, by disjointness) stored cell containing leaf id `leaf`,
-    * or 0 if none. Used by index probing fallbacks and training.
+  /** The stored cell containing cell or leaf `id` (`id` itself if stored),
+    * or 0 if none. Stored cells are disjoint, so it is unique, and it is
+    * one of `id`'s two id-order neighbours: an ancestor's own id can sort
+    * on either side of `id`.
     */
-  def cellContainingLeaf(leaf: Long): Long = {
-    val fl = cells.floorEntry(leaf)
-    if (fl != null && CellId.contains(fl.getKey, leaf)) return fl.getKey
-    val ce = cells.ceilingEntry(leaf)
-    if (ce != null && CellId.contains(ce.getKey, leaf)) return ce.getKey
-    0L
-  }
-
-  /** All stored cells strictly contained in `cell` (descendants). */
-  private def descendantsOf(cell: Long): List[Long] = {
-    val lo = CellId.rangeMin(cell)
-    val hi = CellId.rangeMax(cell)
-    val out = List.newBuilder[Long]
-    val it = cells.subMap(lo, true, hi, true).keySet().iterator()
-    while (it.hasNext) {
-      val k = it.next()
-      if (k != cell) out += k
-    }
-    out.result()
-  }
-
-  /** The stored strict ancestor of `cell`, if any. An ancestor's own id can
-    * fall outside `cell`'s id range, so check both id-order neighbours.
-    */
-  private def ancestorOf(cell: Long): Option[Long] = {
-    val fl = cells.floorEntry(cell)
-    if (fl != null && fl.getKey != cell && CellId.contains(fl.getKey, cell)) return Some(fl.getKey)
-    val ce = cells.ceilingEntry(cell)
-    if (ce != null && ce.getKey != cell && CellId.contains(ce.getKey, cell)) return Some(ce.getKey)
-    None
+  def containing(id: Long): Long = {
+    val fl = cells.floorEntry(id)
+    if (fl != null && CellId.contains(fl.getKey, id)) return fl.getKey
+    val ce = cells.ceilingEntry(id)
+    if (ce != null && CellId.contains(ce.getKey, id)) ce.getKey else 0L
   }
 
   /** Insert `cell` with `refs`, maintaining disjointness via the paper's
@@ -67,32 +44,26 @@ final class SuperCovering extends Serializable {
     */
   def insert(cell: Long, refs: RefList): Unit = {
     if (refs.isEmpty) return
-    val existing = cells.get(cell)
-    if (existing != null) { // duplicate cell: merge reference lists
-      cells.put(cell, existing.merge(refs))
-      return
-    }
-    ancestorOf(cell) match {
-      case Some(c1) =>
-        // Existing cell contains the new one: split c1 into (difference, c2)
-        // keeping its refs on every piece; then merge new refs into c2.
-        val c1Refs = cells.remove(c1)
-        CellId.difference(c1, cell).foreach(d => cells.put(d, c1Refs))
-        cells.put(cell, c1Refs.merge(refs))
-      case None =>
-        val desc = descendantsOf(cell)
-        if (desc.isEmpty) {
-          cells.put(cell, refs)
-        } else {
-          // New cell contains existing cell(s): push the new refs down by
-          // splitting into children until conflicts vanish (equivalent to
-          // iterated difference, but handles several descendants at once).
-          var k = 0
-          while (k < 4) {
-            insert(CellId.child(cell, k), refs)
-            k += 1
-          }
-        }
+    val c1 = containing(cell)
+    if (c1 == cell) { // duplicate cell: merge reference lists
+      cells.put(cell, cells.get(cell).merge(refs))
+    } else if (c1 != 0L) {
+      // Existing cell contains the new one: split c1 into (difference, c2)
+      // keeping its refs on every piece; then merge new refs into c2.
+      val c1Refs = cells.remove(c1)
+      CellId.difference(c1, cell).foreach(d => cells.put(d, c1Refs))
+      cells.put(cell, c1Refs.merge(refs))
+    } else if (cells.subMap(CellId.rangeMin(cell), true, CellId.rangeMax(cell), true).isEmpty) {
+      cells.put(cell, refs)
+    } else {
+      // New cell contains existing cell(s): push the new refs down by
+      // splitting into children until conflicts vanish (equivalent to
+      // iterated difference, but handles several descendants at once).
+      var k = 0
+      while (k < 4) {
+        insert(CellId.child(cell, k), refs)
+        k += 1
+      }
     }
   }
 
@@ -175,8 +146,9 @@ object SuperCovering {
     }
   }
 
-  /** Recursively split `cell` down to `minLevel`, reclassifying candidate
-    * refs per descendant.
+  /** Recursively split `cell`, which must not be stored in `sc`, down to
+    * `toLevel`, reclassifying candidate refs per descendant and storing the
+    * non-empty ones. Precision refinement and training both split with it.
     */
   private[core] def refineCell(sc: SuperCovering, cell: Long, refs: RefList,
                                toLevel: Int, polys: Array[Polygon]): Unit = {
@@ -200,7 +172,7 @@ object SuperCovering {
     * (the cell is inside wherever its ancestor was), and re-run the
     * cell-polygon relation for candidate refs. `polys` is indexed by id.
     */
-  private[core] def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
+  private def reclassify(c: Long, refs: RefList, polys: Array[Polygon]): RefList = {
     val b = CellId.bounds(c)
     val out = mutable.ArrayBuffer.empty[Int]
     refs.refs.foreach { r =>

@@ -2,7 +2,6 @@ package repro.index
 
 import repro.geo.{MBR, Polygon}
 import repro.grid.CellId
-import scala.collection.mutable
 
 /** Baseline "SI" (§4.2): a Google-S2ShapeIndex-style cell→edge index.
   *
@@ -26,8 +25,6 @@ final class ShapeEdgeIndex private (
   var edgeTests: Long = 0L
   def resetMetrics(): Unit = { accessCount = 0L; edgeTests = 0L }
 
-  def leafCount: Int = leaves.size
-
   /** Edge tuples (5 doubles + pid) + centre-state lists + tree map entry. */
   def sizeBytes: Long = {
     var b = 0L
@@ -47,7 +44,7 @@ final class ShapeEdgeIndex private (
     val leafId = CellId.fromPoint(x, y)
     accessCount += 1
     // An ancestor cell's own id can sort after the query leaf id, so check
-    // both id-order neighbours (cf. SuperCovering.cellContainingLeaf).
+    // both id-order neighbours (cf. SuperCovering.containing).
     var e = leaves.floorEntry(leafId)
     if (e == null || !CellId.contains(e.getKey, leafId)) {
       e = leaves.ceilingEntry(leafId)

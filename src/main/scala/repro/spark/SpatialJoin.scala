@@ -45,11 +45,10 @@ object SpatialJoin {
     */
   def join(points: DataFrame, polysDf: DataFrame, exact: Boolean,
            precision: Option[Double] = None,
-           bitsPerLevel: Int = 8,
            trainingPoints: Array[Long] = Array.emptyLongArray,
            metrics: Option[Metrics] = None): DataFrame = {
     val polys = collectPolygons(polysDf)
-    val index = ActIndex.build(polys, bitsPerLevel, if (exact) None else precision)
+    val index = ActIndex.build(polys, precisionMeters = if (exact) None else precision)
     if (exact && trainingPoints.nonEmpty) index.train(trainingPoints)
     joinWithIndex(points, index, exact, metrics)
   }

@@ -43,6 +43,46 @@ class ACTSpec extends AnyFunSuite {
     }
   }
 
+  for (bits <- Seq(2, 4, 8)) {
+    test(s"ACT$bits: splitting a stored cell grows the build by splitBytes") {
+      val sc = randomSuperCovering(8, 12)
+      val (ids, refs) = sc.toSortedArrays
+      val act = ACT.build(bits, ids, refs, new LookupTable)
+      var grown = 0
+      var same = 0
+      for (i <- ids.indices if CellId.level(ids(i)) < CellId.MaxLevel) {
+        // The children replace the cell in place: their ids lie in its range.
+        val children = Array.tabulate(4)(CellId.child(ids(i), _))
+        val split = ACT.build(bits,
+          ids.take(i) ++ children ++ ids.drop(i + 1),
+          refs.take(i) ++ Array.fill(4)(refs(i)) ++ refs.drop(i + 1), new LookupTable)
+        if (split.prefixLen == act.prefixLen) {
+          val growth = act.splitBytes(ids(i))
+          assert(split.sizeBytes == act.sizeBytes + growth, s"bits=$bits cell=${ids(i)}")
+          if (growth > 0) grown += 1 else same += 1
+        }
+      }
+      assert(grown > 0 && (bits == 2 || same > 0), s"grown=$grown same=$same")
+    }
+  }
+
+  test("ACT.build rejects unsorted or overlapping cell ids") {
+    val a = CellId.fromIJ(0, 0, 4)
+    val b = CellId.fromIJ(3, 3, 4)
+    assert(a < b)
+    val r = RefList.single(PolygonRef(1, interior = true))
+    def build(ids: Long*) = ACT.build(8, ids.toArray, Array.fill(ids.length)(r), new LookupTable)
+    build(a, b)
+    intercept[IllegalArgumentException](build(b, a))
+    intercept[IllegalArgumentException](build(a, a))
+    // A descendant overlaps its ancestor whichever side of it it sorts on.
+    val first = CellId.child(a, 0)
+    val last = CellId.child(a, 3)
+    assert(first < a && a < last)
+    intercept[IllegalArgumentException](build(first, a))
+    intercept[IllegalArgumentException](build(a, last))
+  }
+
   test("ACT rejects invalid fanouts") {
     intercept[IllegalArgumentException](new ACT(3))
     intercept[IllegalArgumentException](new ACT(16))
@@ -102,7 +142,9 @@ class ACTSpec extends AnyFunSuite {
     val (ids, refs) = sc.toSortedArrays
     val a1 = ACT.build(2, ids, refs, new LookupTable)
     val a4 = ACT.build(8, ids, refs, new LookupTable)
-    assert(a4.avgValueDepth <= a1.avgValueDepth)
+    val leaves = Array.fill(2000)(CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30))
+    def meanAccesses(act: ACT): Double = leaves.map(act.accesses).sum.toDouble / leaves.length
+    assert(meanAccesses(a4) < meanAccesses(a1))
   }
 
   test("accesses counts the nodes a probe visits") {
@@ -111,39 +153,6 @@ class ACTSpec extends AnyFunSuite {
       Array(RefList.single(PolygonRef(1, interior = true))), new LookupTable)
     val b = CellId.bounds(cell)
     assert(act.accesses(CellId.fromPoint(b.centerX, b.centerY)) == 1)
-  }
-
-  test("writeCell push-down preserves surrounding values") {
-    val parent = CellId.fromIJ(1, 1, 4)
-    val refsP = RefList.single(PolygonRef(1, interior = false))
-    val act = ACT.build(8, Array(parent), Array(refsP), new LookupTable)
-    // Overwrite one child with a different value (training-style refinement).
-    val child = CellId.child(parent, 0)
-    val refsC = RefList.single(PolygonRef(2, interior = true))
-    val lut = new LookupTable
-    act.writeCell(child, TaggedEntry.encode(refsC, lut))
-    // Points in the overwritten child see the new value...
-    val cb = CellId.bounds(child)
-    val e1 = act.probe(CellId.fromPoint(cb.centerX, cb.centerY))
-    assert(TaggedEntry.inlineRef1(e1) == refsC.refs(0))
-    // ...while the remaining quadrants still see the old one.
-    for (k <- 1 to 3) {
-      val ob = CellId.bounds(CellId.child(parent, k))
-      val e2 = act.probe(CellId.fromPoint(ob.centerX, ob.centerY))
-      assert(TaggedEntry.inlineRef1(e2) == refsP.refs(0), s"quadrant $k lost its value")
-    }
-  }
-
-  test("writeCell with NoHit clears an area") {
-    val parent = CellId.fromIJ(2, 2, 4)
-    val act = ACT.build(8, Array(parent),
-      Array(RefList.single(PolygonRef(1, interior = false))), new LookupTable)
-    val child = CellId.child(parent, 1)
-    act.writeCell(child, TaggedEntry.NoHit)
-    val cb = CellId.bounds(child)
-    assert(act.probe(CellId.fromPoint(cb.centerX, cb.centerY)) == TaggedEntry.NoHit)
-    val ob = CellId.bounds(CellId.child(parent, 2))
-    assert(act.probe(CellId.fromPoint(ob.centerX, ob.centerY)) != TaggedEntry.NoHit)
   }
 
   test("root common prefix is used when all cells share one") {

@@ -79,7 +79,7 @@ class TaggedEntrySpec extends AnyFunSuite {
     val o1 = lut.internAll(refs)
     val o2 = lut.internAll(refs)
     assert(o1 == o2)
-    assert(lut.sizeInts == 2 + refs.size)
+    assert(lut.sizeBytes == 4L * (2 + refs.size))
   }
 
   test("lookup table layout: [nTrue, pids..., nCand, pids...]") {

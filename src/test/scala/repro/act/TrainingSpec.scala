@@ -2,6 +2,8 @@ package repro.act
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ActIndex, Join}
+import repro.geo.Polygon
+import repro.grid.CellId
 import repro.spatial.SpatialData
 
 /** §3.3.1 index training: adapting the accurate index to the expected point
@@ -77,18 +79,61 @@ class TrainingSpec extends AnyFunSuite {
     val idx = ActIndex.build(polys, 8, None)
     val budget = idx.act.sizeBytes // no growth allowed beyond current size
     idx.train(trainIds, maxBytes = budget)
-    // At most one refinement (4 child writes, each creating at most a
-    // handful of 2 KiB nodes) can overshoot before the check trips.
-    assert(idx.act.sizeBytes <= budget + 64L * 2048)
+    // At most one refinement, which adds at most one 2 KiB node, can
+    // overshoot before the check trips.
+    assert(idx.act.sizeBytes <= budget + 2048)
     // And results stay exact.
     val (got, _) = exactJoin(idx)
     val (expected, _) = exactJoin(ActIndex.build(polys, 8, None))
     assert(got == expected)
   }
 
-  test("training respects the max level cap") {
+  test("training leaves the trie and lookup table it replaces unchanged") {
     val idx = ActIndex.build(polys, 8, None)
-    val refinements = idx.train(trainIds, maxLevel = 0)
-    assert(refinements == 0, "no cell is below level 0")
+    val (act, lut) = (idx.act, idx.lut)
+    val before = leafIds.map(act.probe)
+    val lutBytes = lut.sizeBytes
+    assert(idx.train(trainIds) > 0)
+    assert(idx.act ne act)
+    assert(leafIds.map(act.probe).sameElements(before))
+    assert(lut.sizeBytes == lutBytes)
+  }
+
+  test("a trained index probes and sizes like a fresh build from its super covering") {
+    for (bits <- Seq(2, 4, 8)) {
+      val idx = ActIndex.build(polys, bits, None)
+      assert(idx.train(trainIds) > 0)
+      val fresh = ActIndex.fromSuperCovering(polys, idx.sc, bits)
+      assert(idx.act.sizeBytes == fresh.act.sizeBytes, s"bits=$bits")
+      assert(idx.lut.sizeBytes == fresh.lut.sizeBytes, s"bits=$bits")
+      for (leaf <- leafIds ++ trainIds)
+        assert(TaggedEntry.decode(idx.act.probe(leaf), idx.lut) ==
+               TaggedEntry.decode(fresh.act.probe(leaf), fresh.lut), s"bits=$bits leaf=$leaf")
+    }
+  }
+
+  test("training never splits a level-30 cell") {
+    // A 20 µm triangle: its covering bottoms out at the finest level.
+    val (x0, y0, side) = (1000.0, 1000.0, 2e-5)
+    val tiny = Array(Polygon(0, Array(x0, x0 + side, x0), Array(y0, y0, y0 + side)))
+    val rnd = new scala.util.Random(31)
+    val pts = Array.fill(2000) {
+      val (u, v) = (rnd.nextDouble(), rnd.nextDouble())
+      if (u + v < 1) (x0 + u * side, y0 + v * side) else (x0 + (1 - u) * side, y0 + (1 - v) * side)
+    }
+    val (px, py) = (pts.map(_._1), pts.map(_._2))
+    val leaves = pts.map { case (x, y) => CellId.fromPoint(x, y) }
+    val idx = ActIndex.build(tiny, 8, None)
+    assert(leaves.exists { l =>
+      val c = idx.sc.containing(l)
+      c != 0L && CellId.level(c) == CellId.MaxLevel && idx.sc.cells.get(c).isExpensive
+    }, "test setup: training leaves must hit expensive level-30 cells")
+    assert(idx.train(leaves) == 0)
+    val got = new Array[Long](1)
+    val expected = new Array[Long](1)
+    Join.exactCounts(idx.act, idx.lut, px, py, leaves, tiny, got)
+    Join.naiveCounts(px, py, tiny, expected)
+    assert(got.toSeq == expected.toSeq)
+    assert(expected(0) > 0)
   }
 }

@@ -11,7 +11,7 @@ class RefListSpec extends AnyFunSuite {
     val b = PolygonRef(12345, interior = false)
     assert(!PolygonRef.isInterior(b))
     assert(PolygonRef.asInterior(b) == r)
-    assert(PolygonRef.asBoundary(r) == b)
+    assert(PolygonRef.polygonId(b) == 12345)
   }
 
   test("PolygonRef supports the max 30-bit id") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.grid.{CellId, Covering}
+import repro.grid.CellId
 import repro.spatial.SpatialData
 import scala.collection.mutable
 
@@ -90,7 +90,7 @@ class SuperCoveringSpec extends AnyFunSuite {
     for (_ <- 1 to 2000) {
       val leaf = CellId.fromIJ(rnd.nextLong(1L << 30), rnd.nextLong(1L << 30), 30)
       val expected = covs.filter(_._2.exists(c => CellId.contains(c, leaf))).map(_._1).toSet
-      val cell = sc.cellContainingLeaf(leaf)
+      val cell = sc.containing(leaf)
       val got = if (cell == 0L) Set.empty[Int]
                 else sc.cells.get(cell).refs.map(PolygonRef.polygonId).toSet
       assert(got == expected, s"leaf=$leaf expected=$expected got=$got")
@@ -122,7 +122,7 @@ class SuperCoveringSpec extends AnyFunSuite {
     assert(interiorCells > 0, "expected some solely-true-hit cells")
   }
 
-  test("cellContainingLeaf finds ancestors whose id sorts after the leaf") {
+  test("containing finds ancestors whose id sorts after the leaf") {
     val sc = new SuperCovering
     // Cell at level 2, query a leaf in its *first* quadrant: the leaf id is
     // smaller than the cell's own id.
@@ -131,9 +131,26 @@ class SuperCoveringSpec extends AnyFunSuite {
     val b = CellId.bounds(cell)
     val leaf = CellId.fromPoint(b.xMin + 1e-3, b.yMin + 1e-3)
     assert(leaf < cell, "test setup: leaf must sort before the cell id")
-    assert(sc.cellContainingLeaf(leaf) == cell)
+    assert(sc.containing(leaf) == cell)
     val leafHi = CellId.fromPoint(b.xMax - 1e-3, b.yMax - 1e-3)
-    assert(sc.cellContainingLeaf(leafHi) == cell)
+    assert(sc.containing(leafHi) == cell)
+
+    // Random leaves, stored cells, their descendants and cells at any level
+    // (mostly unstored) against a brute-force scan of a random covering.
+    def randomCell(lvl: Int) = CellId.fromIJ(rnd.nextLong(1L << lvl), rnd.nextLong(1L << lvl), lvl)
+    val covs = (0 until 6).map(pid => pid -> Vector.fill(10)(randomCell(2 + rnd.nextInt(10))).distinct)
+    val ints = (0 until 6).map(pid => pid -> Vector.fill(5)(randomCell(4 + rnd.nextInt(10))).distinct)
+    val big = SuperCovering.build(covs, ints)
+    val stored = big.toSortedArrays._1
+    def descendant(c: Long): Long = Iterator.iterate(c)(CellId.child(_, rnd.nextInt(4)))
+      .drop(rnd.nextInt(CellId.MaxLevel - CellId.level(c) + 1)).next()
+    val ids = Seq.fill(1000)(randomCell(CellId.MaxLevel)) ++ stored ++ stored.map(descendant) ++
+      Seq.fill(1000)(randomCell(rnd.nextInt(CellId.MaxLevel + 1)))
+    for (id <- ids) {
+      val scan = stored.filter(CellId.contains(_, id))
+      assert(scan.length <= 1)
+      assert(big.containing(id) == scan.headOption.getOrElse(0L), s"id=$id")
+    }
   }
 
   test("refineToPrecision leaves no expensive cell coarser than the bound") {
@@ -160,7 +177,7 @@ class SuperCoveringSpec extends AnyFunSuite {
     // Points strictly inside a polygon must still map to it after refinement.
     SuperCovering.refineToPrecision(sc, CellId.levelForPrecision(4.0), polys)
     for ((x, y, leaf) <- testLeaves; p <- polys if p.contains(x, y)) {
-      val cell = sc.cellContainingLeaf(leaf)
+      val cell = sc.containing(leaf)
       assert(cell != 0L, s"inside point ($x,$y) lost its cell")
       val pids = sc.cells.get(cell).refs.map(PolygonRef.polygonId).toSet
       assert(pids.contains(p.id), s"inside point ($x,$y) lost polygon ${p.id}")

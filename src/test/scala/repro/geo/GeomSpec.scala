@@ -121,4 +121,14 @@ class GeomSpec extends AnyFunSuite {
   test("polygon requires at least 3 vertices") {
     intercept[IllegalArgumentException](Polygon(9, Array(0.0, 1.0), Array(0.0, 1.0)))
   }
+
+  test("polygon rejects non-finite vertex coordinates, naming its id") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val ex = intercept[IllegalArgumentException](
+        Polygon(7, Array(0.0, 4.0, bad, 0.0), Array(0.0, 0.0, 4.0, 4.0)))
+      assert(ex.getMessage.contains("polygon 7"))
+      intercept[IllegalArgumentException](
+        Polygon(7, Array(0.0, 4.0, 4.0, 0.0), Array(0.0, bad, 4.0, 4.0)))
+    }
+  }
 }

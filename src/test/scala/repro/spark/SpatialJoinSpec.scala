@@ -89,6 +89,18 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
     assert(e.getMessage.contains("polys(i).id == i"))
   }
 
+  test("a polygon row with a non-finite vertex is rejected on the driver") {
+    import spark.implicits._
+    val nanVertex = Seq((0, Seq(100.0, 200.0, Double.NaN, 100.0), Seq(100.0, 100.0, 200.0, 200.0)))
+      .toDF("pid", "xs", "ys")
+    for ((exact, precision) <- Seq((true, None), (false, Some(4.0)))) {
+      val e = intercept[IllegalArgumentException] {
+        SpatialJoin.join(pointsDf, nanVertex, exact, precision).count()
+      }
+      assert(e.getMessage.contains("polygon 0"), s"exact=$exact")
+    }
+  }
+
   test("points outside the world or with non-finite coordinates match nothing") {
     import spark.implicits._
     val corner = SpatialData.polygonsDf(spark,
