@@ -154,12 +154,16 @@ object Join {
 }
 
 /** A built polygon index: the super covering plus its ACT plus the shared
-  * lookup table — the unit the Spark operator broadcasts, and the object
-  * the accurate algorithm trains (§3.3.1). `polys` must be indexed by id
-  * (`polys(i).id == i`); anything else is rejected here, before a probe
-  * could misread it.
+  * lookup table, and the object the accurate algorithm trains (§3.3.1).
+  * `polys` must be indexed by id (`polys(i).id == i`); anything else is
+  * rejected here, before a probe could misread it.
+  *
+  * The probe phase (§3.4) reads only `polys`, `lut` and `act`; the Spark
+  * operator ([[repro.spark.SpatialJoin]]) ships just those. The super
+  * covering `sc` is build and training state: it stays on the driver and is
+  * not serialized, so a deserialized copy has `sc == null` and cannot train.
   */
-final class ActIndex(val polys: Array[Polygon], val sc: SuperCovering,
+final class ActIndex(val polys: Array[Polygon], @transient val sc: SuperCovering,
                      bitsPerLevel: Int) extends Serializable {
   Polygon.requireDenseIds(polys)
 
@@ -186,8 +190,10 @@ final class ActIndex(val polys: Array[Polygon], val sc: SuperCovering,
     * Then [[lut]] and [[act]] are rebuilt from the trained super covering;
     * the trie and lookup table read before training are left unchanged.
     *
-    * Training is a driver-side phase: run it before the index is
-    * broadcast, since it changes `sc` and the trie this index returns.
+    * Training is a driver-side phase: it changes `sc` and the trie this
+    * index returns, and needs the super covering, which only the index
+    * built on the driver has; on a deserialized copy it throws an
+    * `IllegalStateException`.
     *
     * `maxBytes` is the paper's memory budget: "in practice, we would stop
     * refining the index once a user-defined memory budget is exhausted"
@@ -197,6 +203,8 @@ final class ActIndex(val polys: Array[Polygon], val sc: SuperCovering,
     * Returns the number of cell refinements performed.
     */
   def train(leafIds: Array[Long], maxBytes: Long = Long.MaxValue): Long = {
+    if (sc == null)
+      throw new IllegalStateException("cannot train a deserialized ActIndex: its super covering stays on the driver")
     var bytes = act.sizeBytes // grown by each split so far (see ACT.splitBytes)
     var refinements = 0L
     var i = 0

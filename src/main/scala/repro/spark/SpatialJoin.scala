@@ -9,11 +9,12 @@ import repro.grid.CellId
 /** DataFrame-level point-polygon join built on the ACT index
   * (the "per-partition UDF join operator" integration, DESIGN.md §3).
   *
-  * The polygon side (static, city-scale) is built into an immutable
-  * [[ActIndex]] on the driver and broadcast; the point side streams through
-  * `mapPartitions`, each partition probing the shared trie — the Spark
-  * equivalent of the paper's thread-per-batch probe parallelization
-  * (§3.4 "Index Probing").
+  * The polygon side (static, city-scale) is built into an [[ActIndex]] on
+  * the driver. Only its probe state — polygons, lookup table and ACT — is
+  * broadcast; the super covering stays on the driver. The point side
+  * streams through `mapPartitions`, each partition probing the shared trie
+  * — the Spark equivalent of the paper's thread-per-batch probe
+  * parallelization (§3.4 "Index Probing").
   */
 object SpatialJoin {
 
@@ -55,18 +56,18 @@ object SpatialJoin {
 
   /** Join against a pre-built (possibly trained) index — the static-polygon
     * serving path the paper targets (§4: probe phase on a pre-built index).
+    * Each call broadcasts `(polys, lut, act)`, never the index itself.
     */
   def joinWithIndex(points: DataFrame, index: ActIndex, exact: Boolean,
                     metrics: Option[Metrics] = None): DataFrame = {
     val spark = points.sparkSession
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(index)
+    val bc = spark.sparkContext.broadcast((index.polys, index.lut, index.act))
     val m = metrics
 
     points.select("id", "x", "y").as[(Long, Double, Double)].mapPartitions { it =>
-      val idx = bc.value
-      val act = idx.act
-      val step = new JoinStep(idx.lut, idx.polys)
+      val (polys, lut, act) = bc.value
+      val step = new JoinStep(lut, polys)
       new Iterator[(Long, Int)] {
         private var pointId = 0L
         private var n = 0 // matches of the current point ...

@@ -1,6 +1,7 @@
 package repro.act
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.JavaSerialization
 import repro.core.{ActIndex, Join}
 import repro.geo.Polygon
 import repro.grid.CellId
@@ -110,6 +111,15 @@ class TrainingSpec extends AnyFunSuite {
         assert(TaggedEntry.decode(idx.act.probe(leaf), idx.lut) ==
                TaggedEntry.decode(fresh.act.probe(leaf), fresh.lut), s"bits=$bits leaf=$leaf")
     }
+  }
+
+  test("a deserialized index has no super covering and refuses to train") {
+    val idx = ActIndex.build(polys, 8, None)
+    val copy = JavaSerialization.roundTrip(idx)
+    val e = intercept[IllegalStateException](copy.train(trainIds))
+    assert(e.getMessage.contains("super covering"))
+    // The driver-side index still trains.
+    assert(idx.train(trainIds) > 0)
   }
 
   test("training never splits a level-30 cell") {

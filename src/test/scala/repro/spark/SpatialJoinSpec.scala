@@ -2,7 +2,7 @@ package repro.spark
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{JavaSerialization, Oracle, SparkSpec}
 import repro.core.{ActIndex, Join}
 import repro.geo.Polygon
 import repro.spatial.SpatialData
@@ -130,6 +130,40 @@ class SpatialJoinSpec extends AnyFunSuite with SparkSpec {
 
     assert(set1 == set2, "training must not change exact results")
     assert(pip2 < pip1, s"trained PIP $pip2 should be < untrained $pip1")
+  }
+
+  private def pairs(df: org.apache.spark.sql.DataFrame): Set[(Long, Int)] =
+    df.collect().map(r => (r.getLong(0), r.getInt(1))).toSet
+
+  test("a serialized index is its probe state: no super covering, same counts, same size") {
+    val (xs, ys, leafIds) = SpatialData.pointArrays(nPts, taxi = true, seed = 1200L)
+    def counts(idx: ActIndex) = {
+      val exact = new Array[Long](polys.length)
+      val approx = new Array[Long](polys.length)
+      val se = Join.exactCounts(idx.act, idx.lut, xs, ys, leafIds, idx.polys, exact)
+      val sa = Join.approximateCounts(idx.act, idx.lut, leafIds, approx)
+      (exact.toSeq, approx.toSeq, (se.trueHitPairs, se.candidatePairs, se.pipTests),
+        (sa.trueHitPairs, sa.candidatePairs))
+    }
+    for (precision <- Seq(None, Some(4.0))) {
+      val idx = ActIndex.build(polys, 8, precision)
+      val copy = JavaSerialization.roundTrip(idx)
+      assert(copy.sc == null, s"precision=$precision")
+      assert(counts(copy) == counts(idx), s"precision=$precision")
+      val indexBytes = JavaSerialization.bytes(idx).length
+      val probeBytes = JavaSerialization.bytes((idx.act, idx.lut, idx.polys)).length
+      assert(math.abs(indexBytes - probeBytes) <= 4096,
+        s"precision=$precision: index $indexBytes B, probe state $probeBytes B")
+    }
+  }
+
+  test("joinWithIndex needs only the probe state: a deserialized index joins like the original") {
+    for ((exact, precision) <- Seq((true, None), (false, Some(4.0)))) {
+      val idx = ActIndex.build(polys, 8, precision)
+      val copy = JavaSerialization.roundTrip(idx)
+      assert(pairs(SpatialJoin.joinWithIndex(pointsDf, copy, exact)) ==
+             pairs(SpatialJoin.joinWithIndex(pointsDf, idx, exact)), s"exact=$exact")
+    }
   }
 
   test("joinWithIndex reuses a pre-built index across point batches") {
